@@ -87,11 +87,24 @@ class CriticalityPredictor:
 
     def on_issue(self, warp: Warp, stall_cycles: float) -> None:
         """Per-issue update: commit-decrement plus observed stall latency."""
-        if warp.cpl_inst_disparity > 0:
-            warp.cpl_inst_disparity -= 1
+        disparity = warp.cpl_inst_disparity
+        if disparity > 0:
+            disparity -= 1
+            warp.cpl_inst_disparity = disparity
         if stall_cycles > 0.0:
             warp.cpl_stall += stall_cycles
-        self._refresh(warp)
+        # _refresh, inlined: this runs once per issued instruction.
+        issued = warp.issued_instructions
+        if issued <= 0:
+            cpi = 1.0
+        else:
+            elapsed = warp.last_issue_cycle - warp.start_cycle
+            if elapsed < 1.0:
+                elapsed = 1.0
+            cpi = elapsed / issued
+            if cpi < 1.0:
+                cpi = 1.0
+        warp.criticality = disparity * cpi + warp.cpl_stall
         block_id = warp.block.block_id
         count = self._block_issue_count.get(block_id, 0) + 1
         self._block_issue_count[block_id] = count

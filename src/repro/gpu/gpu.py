@@ -301,28 +301,30 @@ class GPU:
     def _run_cycle_loop(self, dispatcher: BlockDispatcher, start_cycle: float) -> float:
         """Per-cycle clock: tick every SM each cycle, jump only when the
         whole device is stalled.  Returns the final cycle."""
+        sms = self.sms
         cycle = start_cycle
         while True:
             issued = False
-            for sm in self.sms:
+            for sm in sms:
                 if sm.tick(cycle):
                     issued = True
 
             if self._commit_pending:
+                # A block commit is the one transition that can leave the
+                # device idle (an SM goes idle only by committing its last
+                # block), so the busy scan runs only here.
                 self._commit_pending = False
                 if not dispatcher.exhausted:
-                    dispatcher.try_dispatch(self.sms, cycle + 1)
-
-            busy = any(sm.busy for sm in self.sms)
-            if not busy and dispatcher.exhausted:
-                return cycle
+                    dispatcher.try_dispatch(sms, cycle + 1)
+                if dispatcher.exhausted and not any(sm.busy for sm in sms):
+                    return cycle
 
             if issued:
                 cycle += 1
             else:
-                wake = min(sm.next_wake_time(cycle) for sm in self.sms)
+                wake = min(sm.next_wake_time(cycle) for sm in sms)
                 if math.isinf(wake):
-                    for sm in self.sms:
+                    for sm in sms:
                         sm.detect_deadlock(cycle)
                     raise DeadlockError("no warp can make progress")
                 nxt = max(cycle + 1, wake)

@@ -68,7 +68,14 @@ class LRUPolicy(ReplacementPolicy):
         line.last_use = self._clock
 
     def _victim(self, lines: List, req: MemRequest, lo: int, hi: int) -> int:
-        return min(range(lo, hi), key=lambda way: lines[way].last_use)
+        # The first way with the oldest stamp (what ``min`` would pick).
+        victim = lo
+        oldest = lines[lo].last_use
+        for way in range(lo + 1, hi):
+            stamp = lines[way].last_use
+            if stamp < oldest:
+                victim, oldest = way, stamp
+        return victim
 
     def on_fill(self, line, req: MemRequest) -> None:
         self._touch(line)

@@ -12,13 +12,7 @@ scoreboards track dependencies at warp granularity.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-#: Ready-cycle marker for a register waiting on an outstanding load whose
-#: completion time is not yet known.
-PENDING = np.inf
 
 
 class WarpRegisterFile:
@@ -111,15 +105,3 @@ class WarpRegisterFile:
 
     def set_pred_ready(self, pred: int, cycle: float) -> None:
         self.pred_ready[pred] = float(cycle)
-
-    def mark_reg_pending(self, reg: int) -> None:
-        """Mark ``reg`` as waiting on an in-flight load."""
-        self.reg_ready[reg] = PENDING
-
-    def min_pending_free_cycle(self) -> float:
-        """Largest finite ready cycle (for idle-skip scheduling)."""
-        later = max(
-            (v for v in self.reg_ready if math.isfinite(v)), default=0.0
-        )
-        pred_max = max(self.pred_ready, default=0.0)
-        return max(later, pred_max)

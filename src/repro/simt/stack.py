@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..errors import SimulationError
-from .mask import popcount
 
 #: Sentinel reconvergence PC for the base stack entry (never popped by PC match).
 NO_RECONV = -1
@@ -114,9 +113,6 @@ class SIMTStack:
         # all-zero mask.
         while len(self._entries) > 1 and self.top.mask == 0:
             self._entries.pop()
-
-    def active_lane_count(self) -> int:
-        return popcount(self.active_mask)
 
     def snapshot(self) -> List[StackEntry]:
         """Copy of the entries, bottom to top (for tests/debugging)."""

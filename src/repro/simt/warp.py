@@ -13,8 +13,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..isa.instructions import MemSpace, Special
-from .mask import full_mask, popcount
+from ..isa.instructions import Special
+from .mask import full_mask
 from .registers import WarpRegisterFile
 from .stack import SIMTStack
 
@@ -36,12 +36,16 @@ class Warp:
         num_regs: int,
         num_preds: int,
         dynamic_id: int,
+        code: Optional[list] = None,
     ) -> None:
         self.warp_id_in_block = warp_id_in_block
         self.block = block
         self.warp_size = warp_size
         #: Monotonic dispatch-order id; GTO's "oldest" tie-break key.
         self.dynamic_id = dynamic_id
+        #: The kernel's decoded records (:mod:`repro.simt.decode`), indexed
+        #: by PC; supplied by the SM that makes the warp resident.
+        self.code = code
 
         first_thread = warp_id_in_block * warp_size
         active_threads = max(0, min(warp_size, block.block_dim - first_thread))
@@ -122,40 +126,12 @@ class Warp:
     def special_values(self, special: Special) -> np.ndarray:
         return self._specials[special]
 
-    def next_instruction(self):
-        """The static instruction at the warp's current PC."""
-        return self.block.kernel.instructions[self.pc]
-
-    def operands_ready_at(self) -> float:
-        """Earliest cycle the next instruction's operands are available.
-
-        Returns ``inf`` while a needed register waits on an outstanding load
-        (the wake-up happens when the memory response arrives).
-        """
-        inst = self.next_instruction()
-        pred_is_dst = inst.writes_predicate
-        dst = inst.dst if (inst.writes_register or pred_is_dst) else None
-        return self.rf.operands_ready_at(inst.srcs, dst, inst.pred, pred_is_dst)
-
-    def operands_ready_detail(self):
-        """``(ready_cycle, limited_by_load)`` for the next instruction.
-
-        Memoized together with :meth:`schedule_info` on the issue count: the
-        scoreboard only changes at this warp's own issue, so a fresh
-        scheduling cache already holds the answer.
-        """
-        if self._sched_cache_version != self.issued_instructions:
-            self._refresh_sched_cache()
-        return self._cached_opready, self._cached_by_load
-
     def _refresh_sched_cache(self) -> None:
         """Recompute readiness, memory-need, and load-provenance in one pass."""
         self._sched_cache_version = self.issued_instructions
-        inst = self.block.kernel.instructions[self.stack.pc]
-        pred_is_dst = inst.writes_predicate
-        dst = inst.dst if (inst.writes_register or pred_is_dst) else None
+        record = self.code[self.stack.pc]
         ready, by_load = self.rf.operands_ready_detail(
-            inst.srcs, dst, inst.pred, pred_is_dst
+            record.srcs, record.sb_dst, record.pred, record.pred_is_dst
         )
         floor = (
             self.last_issue_cycle + 1 if self.issued_instructions else self.start_cycle
@@ -163,7 +139,7 @@ class Warp:
         self._cached_opready = ready
         self._cached_by_load = by_load
         self._cached_ready = ready if ready > floor else floor
-        self._cached_needs_mem = inst.is_memory and inst.space is MemSpace.GLOBAL
+        self._cached_needs_mem = record.needs_mem
 
     def schedule_info(self):
         """``(ready_cycle, next_needs_global_memory)``, cached between issues.
@@ -179,14 +155,6 @@ class Warp:
             self._refresh_sched_cache()
         return self._cached_ready, self._cached_needs_mem
 
-    def issuable_at(self) -> float:
-        """Earliest cycle this warp could issue, or ``inf`` if blocked.
-
-        Accounts for operand readiness and the one-instruction-per-cycle
-        issue limit (but not MSHR back-pressure; the SM layers that on).
-        """
-        return self.schedule_info()[0]
-
     def mark_finished(self, cycle: float) -> None:
         self.status = WarpStatus.FINISHED
         self.finish_cycle = cycle
@@ -197,9 +165,6 @@ class Warp:
         """Cycles from block dispatch to this warp's EXIT."""
         end = self.finish_cycle if self.finish_cycle is not None else self.last_issue_cycle
         return max(0.0, end - self.start_cycle)
-
-    def active_lane_count(self) -> int:
-        return popcount(self.active_mask)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -124,4 +124,4 @@ class TestWarpScheduleCache:
         result = gpu.launch(build_copy_kernel(n, src, out), 1, 32)
         warp = result.blocks[0].warps[0]
         assert warp.status is WarpStatus.FINISHED
-        assert warp.issuable_at() == float("inf")
+        assert warp.schedule_info()[0] == float("inf")
