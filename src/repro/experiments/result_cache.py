@@ -87,7 +87,9 @@ def cache_key(
         {
             "workload": workload,
             "scheme": scheme,
-            "scale": scale,
+            # ``float``: ``1`` and ``1.0`` are the same cell and must
+            # share one key (json renders them differently).
+            "scale": float(scale),
             "config": config_fingerprint,
             "with_accuracy": with_accuracy,
             "version": __version__,

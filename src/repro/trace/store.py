@@ -61,7 +61,8 @@ def trace_key(
     payload = json.dumps(
         {
             "workload": workload,
-            "scale": scale,
+            # ``float``: ``1`` and ``1.0`` record the same trace.
+            "scale": float(scale),
             "functional_fp": functional_fp,
             "kwargs": sorted((workload_kwargs or {}).items()),
         },

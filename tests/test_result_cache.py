@@ -112,6 +112,20 @@ class TestKeyInvalidation:
         assert result_cache.cache_key(WL, "gto", 1.0, fp) != base
         assert result_cache.cache_key(WL, "rr", 1.0, fp, with_accuracy=True) != base
 
+    def test_int_and_float_scale_share_a_key(self):
+        fp = GPUConfig.default_sim().fingerprint()
+        assert (result_cache.cache_key(WL, "rr", 1, fp)
+                == result_cache.cache_key(WL, "rr", 1.0, fp))
+        assert (result_cache.cache_key(WL, "rr", 16, fp, with_accuracy=True)
+                == result_cache.cache_key(WL, "rr", 16.0, fp, with_accuracy=True))
+
+    def test_float_scale_keys_are_unchanged(self):
+        # Keys written before int scales were normalised stay valid.
+        assert (result_cache.cache_key("bfs", "cawa", 0.5, "0123abcd")
+                == "bfs-cawa-4dbd17b67348c340ad49")
+        assert (result_cache.cache_key("bfs", "cawa", 2.0, "0123abcd", with_accuracy=True)
+                == "bfs-cawa-c2ea0b10593ed8a0cbc5")
+
     def test_stale_version_entry_misses(self, monkeypatch):
         run_scheme(WL, "rr", scale=SCALE)  # populate under current version
         runner.clear_cache()

@@ -149,6 +149,21 @@ class TestStore:
         assert loaded is not None
         assert loaded.trace_id == program.trace_id
 
+    def test_int_and_float_scale_share_a_key(self):
+        from repro.trace.store import trace_key
+
+        assert trace_key("kmeans", 16, "feedbeef") == trace_key("kmeans", 16.0, "feedbeef")
+        assert (trace_key("bfs", 1, "feedbeef", {"seed": 3})
+                == trace_key("bfs", 1.0, "feedbeef", {"seed": 3}))
+
+    def test_float_scale_keys_are_unchanged(self):
+        # Traces stored before int scales were normalised stay reachable.
+        from repro.trace.store import trace_key
+
+        assert trace_key("kmeans", 16.0, "feedbeef") == "kmeans-173664fd75bd7990"
+        assert (trace_key("kmeans", 0.15, "feedbeef", {"seed": 3})
+                == "kmeans-8ba640fed2c02201")
+
     def test_miss_returns_none(self, config):
         assert trace_mod.load_program("bfs", SCALE, config) is None
 
