@@ -31,7 +31,8 @@ class SradWorkload(Workload):
         block_dim: int = 256,
     ) -> None:
         super().__init__(seed=seed, scale=scale)
-        self.rows = self._int(rows)
+        # At least 9 rows: the noisy 8x8 patches need a row range to land in.
+        self.rows = max(9, self._int(rows))
         self.cols = cols
         self.max_refine = max_refine
         self.block_dim = block_dim

@@ -52,6 +52,15 @@ def test_workload_verifies_under_cawa(name):
     wl.run(gpu, scheme="cawa", check=True)
 
 
+def test_srad_builds_and_verifies_at_small_scale():
+    # Scale 0.1 gives 6 image rows, too few for the 8x8 noise patches;
+    # the workload clamps to 9 rows instead of failing to build.
+    wl = make_workload("srad_1", scale=0.1)
+    assert wl.rows == 9
+    result = wl.run(GPU(GPUConfig.default_sim()), scheme="rr", check=True)
+    assert result.thread_instructions > 0
+
+
 class TestRegistry:
     def test_table2_categories(self):
         for name in SENS_WORKLOADS:
