@@ -172,26 +172,29 @@ class Cache:
         allocating keeps the model simple and preserves the contention the
         paper studies).
         """
-        set_idx = self.config.set_index(req.line_addr)
+        line_addr = req.line_addr
+        set_idx = self.config.set_index(line_addr)
         lines = self._sets[set_idx]
-        self.stats.accesses += 1
+        stats = self.stats
+        stats.accesses += 1
         if req.is_critical:
-            self.stats.critical_accesses += 1
+            stats.critical_accesses += 1
 
         mirror = self.mirror
         if mirror is not None:
-            way = mirror.find_way(set_idx, req.line_addr)
+            way = mirror.find_way(set_idx, line_addr)
             line = lines[way] if way >= 0 else None
         else:
             line = None
             for cand in lines:
-                if cand.valid and cand.tag == req.line_addr:
+                # Tag first: most ways are valid and mismatch.
+                if cand.tag == line_addr and cand.valid:
                     line = cand
                     break
         if line is not None:
-            self.stats.hits += 1
+            stats.hits += 1
             if req.is_critical:
-                self.stats.critical_hits += 1
+                stats.critical_hits += 1
             line.reuse_count += 1
             self.policy.on_hit(line, req)
             if mirror is not None:
@@ -208,7 +211,7 @@ class Cache:
                 ))
             return True
 
-        self.stats.misses += 1
+        stats.misses += 1
         fb = self.fb
         if fb is not None:
             # Published *before* the fill so subscribers probe their victim

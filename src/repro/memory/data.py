@@ -62,21 +62,19 @@ class GlobalMemory:
     def load(self, addrs: np.ndarray, mask_bools: np.ndarray) -> np.ndarray:
         """Gather one word per active lane; inactive lanes read as 0."""
         values = np.zeros(len(addrs), dtype=np.float64)
-        lanes = np.nonzero(mask_bools)[0]
-        if lanes.size:
-            idx = addrs[lanes] // _WORD
+        idx = addrs[mask_bools] // _WORD
+        if idx.size:
             self._check_indices(idx)
-            values[lanes] = self._words[idx]
+            values[mask_bools] = self._words[idx]
         return values
 
     def store(self, addrs: np.ndarray, values: np.ndarray, mask_bools: np.ndarray) -> None:
         """Scatter one word per active lane (lane order resolves conflicts)."""
-        lanes = np.nonzero(mask_bools)[0]
-        if lanes.size:
-            idx = addrs[lanes] // _WORD
+        idx = addrs[mask_bools] // _WORD
+        if idx.size:
             self._check_indices(idx)
             # Highest lane wins on conflicting addresses, deterministically.
-            self._words[idx] = values[lanes]
+            self._words[idx] = values[mask_bools]
 
     def _check_range(self, base: int, num_words: int) -> None:
         if base < 0 or base % _WORD != 0:

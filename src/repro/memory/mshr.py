@@ -90,8 +90,11 @@ class MSHRFile:
 
     def free_entries(self, now: float) -> int:
         """Number of unoccupied MSHR entries at ``now``."""
-        self._purge(now)
-        return max(0, self._entries - len(self._inflight))
+        completions = self._completions
+        if completions and completions[0][0] <= now:
+            self._purge(now)
+        free = self._entries - len(self._inflight)
+        return free if free > 0 else 0
 
     def is_full(self, now: float) -> bool:
         """True when no MSHR entry is free at ``now``.

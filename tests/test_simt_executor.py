@@ -251,3 +251,45 @@ def test_prop_binary_ops_match_numpy(op, a, b):
         Opcode.MAX: np.maximum(av, bv),
     }[op]
     assert np.array_equal(warp.rf.regs[2], reference)
+
+
+#: Value ops whose decoded closure writes a fully active, unguarded result
+#: in place (a ufunc with ``out=``, or a broadcast copy).
+IN_PLACE_OPS = (
+    [Instruction(op, dst=2, srcs=(0, 1), pc=0)
+     for op in (Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.MIN, Opcode.MAX)]
+    + [Instruction(op, dst=2, srcs=(0,), imm=-2.5, pc=0)
+       for op in (Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.MIN, Opcode.MAX)]
+    + [Instruction(Opcode.SETP, dst=1, srcs=(0, 1), cmp=cmp, pc=0) for cmp in CmpOp]
+    + [Instruction(Opcode.SETP, dst=1, srcs=(0,), imm=0.0, cmp=cmp, pc=0) for cmp in CmpOp]
+    + [Instruction(op, dst=2, srcs=(0,), pc=0)
+       for op in (Opcode.MOV, Opcode.ABS, Opcode.NEG, Opcode.FLOOR, Opcode.SIN, Opcode.COS)]
+    + [Instruction(Opcode.MOV, dst=2, imm=3.5, pc=0),
+       Instruction(Opcode.MOV, dst=0, srcs=(0,), pc=0),
+       Instruction(Opcode.ADD, dst=0, srcs=(0, 1), pc=0)]
+)
+
+
+@pytest.mark.parametrize("inst", IN_PLACE_OPS, ids=repr)
+def test_in_place_path_matches_masked_path(inst):
+    """A fully active warp takes the in-place write; a warp with one lane
+    inactive computes the values and copies them under the lane mask.
+    Both must give the same lanes, bit for bit."""
+    rng = np.random.RandomState(5)
+    a = np.round(rng.randn(WARP) * 100, 1)
+    b = np.round(rng.randn(WARP) * 100, 1)
+    b[::4] = a[::4]  # ties, for the compares
+    execu = FunctionalExecutor(GlobalMemory(), WARP)
+    full, part = make_warp(), make_warp(block_dim=WARP - 1)
+    for warp in (full, part):
+        warp.rf.regs[0] = a
+        warp.rf.regs[1] = b
+        warp.rf.regs[2] = -7.0
+        warp.rf.preds[1] = True
+        execu.execute(inst, warp)
+    board = "preds" if inst.op is Opcode.SETP else "regs"
+    got_full = getattr(full.rf, board)[inst.dst]
+    got_part = getattr(part.rf, board)[inst.dst]
+    assert np.array_equal(got_full[:-1], got_part[:-1])
+    untouched = {"preds": True, "regs": {0: a[-1], 2: -7.0}.get(inst.dst)}[board]
+    assert got_part[-1] == untouched
