@@ -166,10 +166,11 @@ class Instruction:
     target_pc: int = field(default=-1)
     reconv_pc: int = field(default=-1)
 
-    # These classification helpers sit on the per-issue hot path (several
-    # lookups per issued instruction); ``cached_property`` turns the repeat
-    # calls into instance-dict hits.  (``cached_property`` writes straight
-    # into ``__dict__`` and therefore works on frozen dataclasses.)
+    # These classification helpers are read when a kernel is decoded
+    # (``repro.simt.decode``) and per memory access by the LSU and the
+    # trace recorder; ``cached_property`` turns the repeat calls into
+    # instance-dict hits.  (``cached_property`` writes straight into
+    # ``__dict__`` and therefore works on frozen dataclasses.)
 
     @cached_property
     def unit(self) -> FuncUnit:
