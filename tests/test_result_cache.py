@@ -149,6 +149,49 @@ class TestRobustness:
         again = run_scheme(WL, "rr", scale=SCALE)
         assert again.cycles == result.cycles
 
+    def test_entry_with_retired_fields_still_hits(self):
+        # An entry exactly as older releases wrote it, including the
+        # retired ``backend`` provenance field.  ``load`` treats a
+        # TypeError as corruption and deletes the entry, so a leftover
+        # keyword for a retired field would wipe every existing cache.
+        stats = {name: 0 for name in (
+            "accesses", "hits", "misses", "bypasses", "critical_accesses",
+            "critical_hits", "evictions", "zero_reuse_evictions",
+            "critical_fill_evictions", "critical_zero_reuse_evictions")}
+        legacy = {
+            "kernel_name": "k", "scheme": "gto", "cycles": 100.0,
+            "thread_instructions": 64, "warp_instructions": 2,
+            "l1_stats": dict(stats, accesses=2, hits=1, misses=1),
+            "l2_stats": dict(stats, accesses=1, misses=1),
+            "dram_accesses": 1, "warp_size": 32, "frontend": "execute",
+            "trace_id": None, "clock": "cycle", "shards": 1,
+            "cycles_skipped": 0.0, "skip_jumps": 0, "events": "off",
+            "backend": "python", "sampling": "off",
+            "blocks": [{
+                "block_id": 0, "num_warps": 1, "dispatch_cycle": 0.0,
+                "commit_cycle": 100.0,
+                "warps": [{
+                    "warp_id_in_block": 0, "execution_time": 100.0,
+                    "issued_instructions": 2, "thread_instructions": 64,
+                    "divergent_branches": 0, "total_stall_cycles": 10.0,
+                    "mem_stall_cycles": 8.0, "sched_stall_cycles": 2.0,
+                    "criticality": 0.5,
+                }],
+            }],
+            "extra": {},
+        }
+        fp = GPUConfig.default_sim().fingerprint()
+        key = result_cache.cache_key(WL, "gto", SCALE, fp)
+        path = result_cache.cache_dir() / f"{key}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(legacy), encoding="utf-8")
+        loaded = result_cache.load(key)
+        assert loaded is not None
+        assert path.exists()
+        assert (loaded.cycles, loaded.warp_instructions,
+                loaded.l1_stats.hits, loaded.dram_accesses) == (100.0, 2, 1, 1)
+        assert loaded.blocks[0].warps[0].criticality == 0.5
+
     def test_env_kill_switch(self, monkeypatch):
         monkeypatch.setenv(result_cache.ENV_ENABLE, "0")
         run_scheme(WL, "rr", scale=SCALE)
