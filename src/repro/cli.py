@@ -307,38 +307,6 @@ def cmd_profile(args) -> int:
                 )
                 print(f"{comp:<18}{cells}")
             return 0
-        if kind in ("backend", "backends"):
-            backends = tuple(v.strip() for v in values.split(",") if v.strip()) \
-                or ("python", "vector")
-            report = profiling.compare_backends(
-                args.workload, args.scheme, scale=args.scale,
-                config=_base_config(args), repeats=args.repeats,
-                backends=backends,
-            )
-            print(f"{'backend':<8} {'cycles':>10} {'CPU s':>8} {'cycles/s':>13}")
-            for backend in backends:
-                row = report[backend]["throughput"]
-                print(
-                    f"{backend:<8} {row['cycles']:>10.0f} "
-                    f"{row['seconds']:>8.2f} "
-                    f"{row['cycles_per_second']:>13,.0f}"
-                )
-            print(f"{backends[-1]}-backend speedup over {backends[0]}: "
-                  f"{report['speedup']['wall']:.2f}x")
-            _print_stall_columns(report.get("stalls"))
-            delta = report["component_delta"]
-            print("\nper-component self time (one profiled run):")
-            header = (f"{'component':<18}"
-                      + "".join(f"{b:>10}" for b in backends)
-                      + f"{'delta':>10}")
-            print(header)
-            for comp in sorted(delta):
-                cells = "".join(
-                    f"{report[b]['components'].get(comp, 0.0):>10.3f}"
-                    for b in backends
-                )
-                print(f"{comp:<18}{cells}{delta[comp]:>+10.3f}")
-            return 0
         if kind in ("core", "cores"):
             report = profiling.compare_cores(
                 args.workload, args.scheme, scale=args.scale,
@@ -354,8 +322,8 @@ def cmd_profile(args) -> int:
             print(f"event-core speedup: {report['event_speedup']['wall']:.2f}x")
             _print_stall_columns(report.get("stalls"))
             return 0
-        print(f"unknown --compare spec {args.compare!r}; use 'core', "
-              "'clock=cycle,skip', or 'backend=python,vector'")
+        print(f"unknown --compare spec {args.compare!r}; use 'core' or "
+              "'clock=cycle,skip'")
         return 2
     profiling.profile_run(
         args.workload, args.scheme, scale=args.scale,
@@ -689,7 +657,7 @@ def _client_spec_from_args(args) -> dict:
     if args.priority != "auto":
         spec["priority"] = args.priority
     device = {}
-    for knob in ("backend", "clock", "frontend", "sampling"):
+    for knob in ("clock", "frontend", "sampling"):
         value = getattr(args, knob, None)
         if value:
             device[knob] = value
@@ -910,9 +878,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comparison mode instead of profiling: 'core' (default when "
         "the flag is bare) times the event/scan issue cores; "
         "'clock=cycle,skip' times both device clocks and prints wall "
-        "time, cycles/s, and a per-component breakdown; "
-        "'backend=python,vector' times the scalar and vectorized engines "
-        "with a per-component self-time delta column",
+        "time, cycles/s, and a per-component breakdown",
     )
     p_prof.add_argument("--repeats", type=int, default=3,
                         help="best-of-N repeats for --compare")
@@ -1116,8 +1082,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "the result cache: recording runs always simulate)")
     p_csub.add_argument("--priority", choices=["auto", "interactive", "batch"],
                         default="auto")
-    p_csub.add_argument("--backend", choices=["python", "vector"],
-                        default=None)
     p_csub.add_argument("--clock", choices=["cycle", "skip"], default=None)
     p_csub.add_argument("--frontend", choices=["execute", "trace"],
                         default=None)

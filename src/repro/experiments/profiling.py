@@ -183,57 +183,6 @@ def compare_clocks(
     return report
 
 
-def compare_backends(
-    workload: str,
-    scheme: str,
-    scale: float = 1.0,
-    config: Optional[GPUConfig] = None,
-    repeats: int = 3,
-    backends: Tuple[str, ...] = ("python", "vector"),
-) -> Dict[str, Dict]:
-    """Measure the scalar and vectorized engines on one cell.
-
-    For each backend: best-of-``repeats`` CPU throughput plus one profiled
-    run aggregated into a per-component self-time breakdown.  The returned
-    dict maps each backend name to ``{"throughput", "components"}`` and
-    carries a ``"speedup"`` entry (first backend's wall time over the
-    last's — how much the vector engine wins with the default pair) and a
-    ``"component_delta"`` map of per-component self-time differences
-    (``last - first`` seconds, negative = the vector backend spends less
-    self-time there).  Results are bit-identical across backends by
-    contract (``tests/test_vector_backend_parity.py``), so the comparison
-    is purely about where the host time goes.
-    """
-    base = config or GPUConfig.default_sim()
-    report: Dict[str, Dict] = {}
-    for backend in backends:
-        cfg = base.with_backend(backend)
-        tp = throughput(workload, scheme, scale, cfg, None, repeats)
-        profiler = cProfile.Profile()
-        profiler.enable()
-        runner.run_scheme(
-            workload, scheme, scale=scale, config=cfg,
-            use_cache=False, persistent=False,
-        )
-        profiler.disable()
-        report[backend] = {
-            "throughput": tp,
-            "components": _component_breakdown(profiler),
-        }
-    first, last = backends[0], backends[-1]
-    first_s = report[first]["throughput"]["seconds"]
-    last_s = report[last]["throughput"]["seconds"]
-    report["speedup"] = {"wall": first_s / last_s if last_s > 0 else 0.0}
-    first_comp = report[first]["components"]
-    last_comp = report[last]["components"]
-    report["component_delta"] = {
-        comp: last_comp.get(comp, 0.0) - first_comp.get(comp, 0.0)
-        for comp in sorted(set(first_comp) | set(last_comp))
-    }
-    report["stalls"] = stall_breakdown(workload, scheme, scale, base)
-    return report
-
-
 def profile_run(
     workload: str,
     scheme: str,

@@ -5,9 +5,9 @@ PR 3 pointed AST/CFG analysis at the *kernels* the simulator runs
 rule IDs, severities, waivers, text/JSON reports, one shared registry
 design (:mod:`repro.analysis.common`) — at ``src/repro`` itself.  The
 correctness story of this codebase is a matrix of bit-identical modes
-(backend x frontend x clock x shards x events) guarded at runtime by
-parity grids; these rules guard the *conventions* that keep the matrix
-honest, at lint time, without importing the analyzed tree:
+(issue core x frontend x clock x shards x events x feedback) guarded at
+runtime by parity grids; these rules guard the *conventions* that keep
+the matrix honest, at lint time, without importing the analyzed tree:
 
 =========  ========  ======================================================
 rule id    severity  what it catches

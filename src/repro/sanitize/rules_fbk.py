@@ -1,4 +1,4 @@
-"""FBK001 — feedback-signal parity between scalar and vector cache twins.
+"""FBK001 — feedback-signal parity between caches and their subclasses.
 
 The scheduler–cache co-design contract (docs/schemes.md) is the same
 shape as the observability one: every mode of the bit-identical matrix
@@ -17,8 +17,9 @@ channel idiom:
 and enforces:
 
 1.  **Override parity** — a subclass overriding a method whose base
-    implementation publishes signal kinds (the scalar/vector cache twin
-    pattern) must call ``super()`` or publish the same kinds itself.
+    implementation publishes signal kinds (for example a specialised
+    ``Cache`` subclass) must call ``super()`` or publish the same kinds
+    itself.
 2.  **Kind coverage** — when the tree defines ``Sig``, every member has
     at least one publish site and every published kind is a member.
 """

@@ -1,12 +1,12 @@
-"""OBS001 — probe parity between scalar components and their twins.
+"""OBS001 — probe parity between components and their subclasses.
 
 The observability contract (docs/observability.md) is that every mode of
 the bit-identical matrix produces *byte-identical* event streams.  Two
 static invariants keep that true:
 
 1.  **Override parity.**  If a subclass overrides a method whose base
-    implementation emits event kinds (the scalar/vector twin pattern:
-    ``VectorSM(StreamingMultiprocessor)``), the override must either call
+    implementation emits event kinds (for example a specialised
+    ``StreamingMultiprocessor`` subclass), the override must either call
     ``super()`` (inheriting the emission) or emit the same kinds itself.
     An override that silently drops an emission desynchronizes the
     streams only when that subclass is selected — exactly the bug class

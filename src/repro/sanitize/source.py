@@ -9,7 +9,7 @@ the fingerprint ground truth parsed statically out of ``config.py``
 
 Waiver syntax (documented in ``docs/static_analysis.md``)::
 
-    x = self.config.backend == "vector"  # sanitize: waive FPR001 -- why
+    if self.config.clock == "skip":  # sanitize: waive FPR001 -- why
 
     # sanitize: waive DET003 -- order is irrelevant: every entry is removed
     for entry in directory.glob(pattern):

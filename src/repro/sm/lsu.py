@@ -22,7 +22,6 @@ from ..memory.request import (
     SIGNATURE_MASK,
     SIGNATURE_REGION_SHIFT,
     MemRequest,
-    make_signature,
 )
 from ..obs.events import Ev
 from ..simt.mask import bools_from_mask
@@ -112,27 +111,6 @@ class LoadStoreUnit:
         pc = inst.pc
         warp_key = (self.sm_id, warp.block.block_id, warp.warp_id_in_block)
         is_load = inst.is_load
-        if (
-            l1d.mirror is not None
-            and self.obs is None
-            and l1d.obs is None
-            and not l1d.observers
-            and getattr(l1d.policy, "obs", None) is None
-        ):
-            # Vector-backend all-hit fast path: one side-effect-free batch
-            # tag probe; commits the exact sequential bookkeeping only when
-            # every line hits (see Cache.batch_hits for the shared-request
-            # contract — the guards above keep per-line observer fields out
-            # of play).  Timing is the sequential walk's closed form: line i
-            # issues at start + i and completes l1_latency later.
-            req = MemRequest(lines[0], pc, warp_key, is_load, is_critical, start,
-                             make_signature(pc, lines[0]))
-            if l1d.batch_hits(lines, req):
-                k = len(lines)
-                self.line_accesses += k
-                self._next_free = start + k
-                hit_done = start + (k - 1) + l1d.config.hit_latency
-                return (hit_done if hit_done > completion else completion), k
         access = self.hierarchy.access
         mshr = self.mshr
         pc_bits = pc & SIGNATURE_MASK  # make_signature(pc, line), split

@@ -7,7 +7,7 @@ same bound method through the per-SM FeedbackChannel.  The two wirings
 must be *bit-identical* — cycles, instruction totals, the full cache
 trace (including CACP's ``critical_hits``), and every per-warp execution
 time — on every CAWA-family scheme.  A fast subset runs in tier 1; the
-full (scheme x frontend x clock x backend) grid is marked ``slow``.
+full (scheme x frontend x clock) grid is marked ``slow``.
 """
 
 import pytest
@@ -55,13 +55,8 @@ def _signature(result):
 
 
 def _run(scheme, feedback, frontend="execute", clock="cycle",
-         backend="python", workload=WORKLOAD, scale=SCALE):
-    base = (
-        GPUConfig.default_sim()
-        .with_feedback(feedback)
-        .with_clock(clock)
-        .with_backend(backend)
-    )
+         workload=WORKLOAD, scale=SCALE):
+    base = GPUConfig.default_sim().with_feedback(feedback).with_clock(clock)
     if frontend == "execute":
         return run_scheme(workload, scheme, scale=scale, config=base,
                           use_cache=False, persistent=False)
@@ -92,19 +87,13 @@ class TestWiringParityFast:
     def test_skip_clock(self):
         _assert_wiring_parity("cawa", clock="skip")
 
-    def test_vector_backend(self):
-        _assert_wiring_parity("cawa", backend="vector")
-
 
 @pytest.mark.slow
 class TestWiringParityFullGrid:
-    """Every CAWA-family scheme x frontend x clock x backend."""
+    """Every CAWA-family scheme x frontend x clock."""
 
-    @pytest.mark.parametrize("backend", ["python", "vector"])
     @pytest.mark.parametrize("clock", ["cycle", "skip"])
     @pytest.mark.parametrize("frontend", ["execute", "trace"])
     @pytest.mark.parametrize("scheme", CAWA_SCHEMES)
-    def test_grid_cell(self, scheme, frontend, clock, backend):
-        _assert_wiring_parity(
-            scheme, frontend=frontend, clock=clock, backend=backend
-        )
+    def test_grid_cell(self, scheme, frontend, clock):
+        _assert_wiring_parity(scheme, frontend=frontend, clock=clock)

@@ -227,7 +227,6 @@ class TestFingerprintConstants:
 
     def test_excluded_knobs_do_not_perturb_fingerprint(self):
         base = GPUConfig.default_sim()
-        assert base.fingerprint() == base.with_backend("vector").fingerprint()
         assert base.fingerprint() == base.with_clock("skip").fingerprint()
         assert base.fingerprint() == base.with_events("on").fingerprint()
 

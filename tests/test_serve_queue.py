@@ -73,12 +73,15 @@ class TestJobSpecValidation:
         ({"kind": "run", "workloads": ["bfs", "kmeans"]}, "exactly one"),
         ({"kind": "figure"}, "figure"),
         ({"kind": "figure", "figure": 999}, "no module"),
-        ({"kind": "run", "workload": "bfs", "device": ["backend"]},
+        ({"kind": "run", "workload": "bfs", "device": ["clock"]},
          "device"),
         ({"kind": "run", "workload": "bfs",
           "device": {"warps": 64}}, "device knob"),
         ({"kind": "run", "workload": "bfs",
-          "device": {"backend": "quantum"}}, "invalid device knob"),
+          "device": {"clock": "quantum"}}, "invalid device knob"),
+        # The retired hot-path engine selector is no longer a knob.
+        ({"kind": "run", "workload": "bfs",
+          "device": {"backend": "python"}}, "unsupported device knob"),
     ])
     def test_bad_payloads_rejected(self, payload, fragment):
         with pytest.raises(JobSpecError, match=fragment):
@@ -99,9 +102,9 @@ class TestFingerprint:
                 == spec(priority="batch").fingerprint())
 
     def test_device_knobs_excluded(self):
-        # backend/clock/shards are bit-identical by contract.
+        # clock/shards/frontend are bit-identical by contract.
         a = spec()
-        b = spec(device={"backend": "vector"})
+        b = spec(device={"clock": "skip"})
         assert a.fingerprint() == b.fingerprint()
 
     def test_events_flag_included(self):
